@@ -8,8 +8,8 @@ ever materialising the full response tensor.  The pipeline:
    draws its own rows from an independent PCG64 stream derived from the
    run seed and the shard index, through the same
    :func:`~repro.simulation.model.draw_response_blocks` /
-   :func:`~repro.simulation.model.scores_from_blocks` map the N=124
-   model uses.
+   :func:`~repro.simulation.model.item_scores` map the N=124 model
+   uses, scoring in place in the drawn item-noise block.
 2. **Reduce** each shard to sufficient statistics
    (:mod:`~repro.megacohort.aggregate`): streaming Welford/Chan moment
    accumulators covering every Table 1–6 cell.

@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.simulation.model import student_scores
 from repro.stats.streaming import CoMoments, Moments
 
 __all__ = ["SurveyStats", "analyze"]
@@ -53,11 +54,11 @@ class SurveyStats:
     def from_scores(cls, skills: Sequence[str], scores: np.ndarray) -> "SurveyStats":
         """Reduce a raw item-score tensor (n, K, 2, 2, items) to statistics.
 
-        The derived per-student quantities use the same arithmetic as
-        :class:`~repro.simulation.model.RawScores` and
-        :mod:`repro.survey.scoring` — integer sums are exact, so the
-        per-student values entering the accumulators are bit-identical
-        to the in-memory path's.
+        The per-student quantities come from
+        :func:`~repro.simulation.model.student_scores`, the code behind
+        :class:`~repro.simulation.model.RawScores` — integer sums are
+        exact, so the values entering the accumulators are bit-identical
+        to the in-memory path's.  ``scores`` may be int or float.
         """
         skills = tuple(skills)
         if scores.ndim != 5:
@@ -67,12 +68,8 @@ class SurveyStats:
             raise ValueError(f"{k} score skills for {len(skills)} names")
         if n_cat != 2 or n_wave != 2:
             raise ValueError("scores must have 2 categories and 2 waves")
-        overall = scores.mean(axis=(1, 4))                # (n, C, W)
+        skill, composite, overall = student_scores(scores)
         diff = overall[:, :, 0] - overall[:, :, 1]        # (n, C) first - second
-        definition = scores[..., 0]
-        components = scores[..., 1:].mean(axis=-1)
-        composite = (definition + components) / 2.0       # (n, K, C, W)
-        skill = scores.mean(axis=-1)                      # (n, K, C, W)
         return cls(
             skills=skills,
             items_per_skill=items,

@@ -35,6 +35,7 @@ from repro.megacohort.aggregate import SurveyStats
 from repro.simulation.model import (
     ModelKnobs,
     draw_response_blocks,
+    item_scores,
     scores_from_blocks,
 )
 
@@ -49,8 +50,10 @@ __all__ = [
     "shard_stats_task",
 ]
 
-#: Default shard granularity.  At ~2.7 KB of draw+score footprint per
-#: row this keeps a shard's working set in the tens of megabytes —
+#: Default shard granularity.  At ~2.5 KB of peak draw+score+reduce
+#: footprint per row (the 1.6 KB of standard-normal draws, scored in
+#: place, plus the per-skill reduction arrays) this keeps a shard's
+#: working set in the tens of megabytes —
 #: large enough that NumPy dominates the task, small enough that
 #: workers-many shards in flight stay far below the full-tensor cost.
 DEFAULT_SHARD_ROWS = 16384
@@ -127,9 +130,15 @@ def shard_stats(
     items_per_skill: int,
     seed: int,
 ) -> SurveyStats:
-    """One shard reduced to sufficient statistics (pure, no fault site)."""
-    scores = shard_scores(spec, knobs, len(skills), items_per_skill, seed)
-    return SurveyStats.from_scores(skills, scores)
+    """One shard reduced to sufficient statistics (pure, no fault site).
+
+    Scores in place in the item-noise block: no int64 score tensor and
+    no latent temporary the size of the block.
+    """
+    rng = shard_rng(seed, spec.index)
+    p_raw, q_raw, e = draw_response_blocks(rng, spec.rows, len(skills),
+                                           items_per_skill)
+    return SurveyStats.from_scores(skills, item_scores(knobs, p_raw, q_raw, e))
 
 
 def shard_stats_task(

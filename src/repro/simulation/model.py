@@ -46,6 +46,8 @@ __all__ = [
     "student_factors",
     "skill_residuals",
     "scores_from_blocks",
+    "item_scores",
+    "student_scores",
 ]
 
 CATEGORIES: tuple[str, str] = ("class_emphasis", "personal_growth")
@@ -141,7 +143,7 @@ class RawScores:
 
     def skill_score(self) -> np.ndarray:
         """Per-student skill scores (N, K, 2, 2): mean over items."""
-        return self.scores.mean(axis=-1)
+        return student_scores(self.scores)[0]
 
     def composite_score(self) -> np.ndarray:
         """Per-student Beyerlein composite scores (N, K, 2, 2).
@@ -150,13 +152,44 @@ class RawScores:
         ``(definition + mean(components)) / 2`` — the quantity Tables 5
         and 6 rank, and therefore the quantity calibration targets.
         """
-        definition = self.scores[..., 0]
-        components = self.scores[..., 1:].mean(axis=-1)
-        return (definition + components) / 2.0
+        return student_scores(self.scores)[1]
 
     def overall(self) -> np.ndarray:
         """Per-student overall average (N, 2, 2): mean over skills & items."""
-        return self.scores.mean(axis=(1, 4))
+        return student_scores(self.scores)[2]
+
+
+def student_scores(
+    scores: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-student ``(skill, composite, overall)`` from one item-sum pass.
+
+    ``scores`` is an integer-valued item tensor (N, K, 2, 2, items),
+    int or float.  Every quantity derives from the per-skill item sum
+    ``S`` and the definition item ``d0``; integer sums are exact in
+    float64, so these equal the plain NumPy means bit for bit:
+
+    - skill     = S / items                       (N, K, 2, 2)
+    - composite = (d0 + (S - d0) / (items - 1)) / 2   (N, K, 2, 2)
+    - overall   = sum_k S / (K * items)           (N, 2, 2)
+    """
+    items = scores.shape[-1]
+    if items < 2:
+        raise ValueError(
+            f"need at least 2 items per skill (a definition item and a "
+            f"component) for composite scores, got {items}"
+        )
+    definition = scores[..., 0]
+    sums = np.einsum("nkcwi->nkcw", scores, dtype=np.float64)
+    # Skill scores live in a category-major buffer, so each category's
+    # (N, K, W) slice — one side of Table 4's pairs — is contiguous per row.
+    skill = np.divide(sums.transpose(0, 2, 1, 3), items, order="C")
+    skill = skill.transpose(0, 2, 1, 3)
+    composite = (sums - definition) / (items - 1)
+    composite += definition
+    composite /= 2.0
+    overall = np.einsum("nkcw->ncw", sums) / (sums.shape[1] * items)
+    return skill, composite, overall
 
 
 def draw_response_blocks(
@@ -197,7 +230,7 @@ def skill_residuals(q_raw: np.ndarray, c_q: np.ndarray) -> np.ndarray:
     return out
 
 
-def scores_from_blocks(
+def item_scores(
     knobs: ModelKnobs,
     p_raw: np.ndarray,
     q_raw: np.ndarray,
@@ -205,12 +238,15 @@ def scores_from_blocks(
     latent_scale: float = LATENT_SCALE,
     item_noise: float = ITEM_NOISE,
 ) -> np.ndarray:
-    """Raw item scores (N, K, 2, 2, items) from standard-normal blocks.
+    """Overwrite the item-noise block ``e`` with the item scores; return it.
 
-    The pure generation map behind :meth:`ResponseModel.generate`,
-    shared with the mega-cohort shard path; the floating-point
-    operation order is the identity anchor, so change it only with the
-    N=124 bit-identity test in hand.
+    The single scoring body: the pure generation map behind
+    :meth:`ResponseModel.generate` and the mega-cohort shards.  The
+    scores are float64 integers in ``[1, 5]``, shape (N, K, 2, 2,
+    items).  The floating-point operation order — ``item_noise * e``,
+    then ``theta +``, then ``rint``, then ``clip(1, 5)`` — is the
+    identity anchor, so change it only with the N=124 bit-identity test
+    in hand.
     """
     k = q_raw.shape[1]
     if knobs.mu.shape != (k, 2, 2):
@@ -220,13 +256,32 @@ def scores_from_blocks(
     if np.any(np.abs(knobs.c_q) > 1):
         raise ValueError("c_q must be in [-1, 1]")
     p = student_factors(p_raw, knobs.rho_p)         # (N, C, W)
-    q = skill_residuals(q_raw, knobs.c_q)           # (N, K, C, W)
     alpha = knobs.alpha[None, None, :, :]           # (1, 1, C, W)
-    theta = knobs.mu[None, :, :, :] + latent_scale * (
-        alpha * p[:, None, :, :] + np.sqrt(1 - alpha**2) * q
-    )                                               # (N, K, C, W)
-    latent_items = theta[..., None] + item_noise * e
-    return np.clip(np.rint(latent_items), 1, 5).astype(np.int64)
+    # theta = mu + s * (alpha * p + sqrt(1 - alpha^2) * q), accumulated
+    # in the fresh residual array (IEEE + and * commute bit for bit).
+    theta = skill_residuals(q_raw, knobs.c_q)       # (N, K, C, W)
+    theta *= np.sqrt(1 - alpha**2)
+    theta += alpha * p[:, None, :, :]
+    theta *= latent_scale
+    theta += knobs.mu
+    e *= item_noise
+    e += theta[..., None]
+    np.rint(e, out=e)
+    return np.clip(e, 1, 5, out=e)
+
+
+def scores_from_blocks(
+    knobs: ModelKnobs,
+    p_raw: np.ndarray,
+    q_raw: np.ndarray,
+    e: np.ndarray,
+    latent_scale: float = LATENT_SCALE,
+    item_noise: float = ITEM_NOISE,
+) -> np.ndarray:
+    """Raw int64 item scores (N, K, 2, 2, items); ``e`` is left intact."""
+    return item_scores(
+        knobs, p_raw, q_raw, e.copy(), latent_scale, item_noise
+    ).astype(np.int64)
 
 
 class ResponseModel:
@@ -245,8 +300,11 @@ class ResponseModel:
     ) -> None:
         if n_students < 2:
             raise ValueError("need at least 2 students")
-        if items_per_skill < 1:
-            raise ValueError("need at least 1 item per skill")
+        if items_per_skill < 2:
+            raise ValueError(
+                "need at least 2 items per skill (a definition item and a "
+                "component)"
+            )
         self.skills = tuple(skills)
         self.n_students = n_students
         self.items_per_skill = items_per_skill
@@ -290,12 +348,10 @@ class ResponseModel:
         ``pearson_r`` (K, W) computed from a fresh generation with the
         fixed underlying draws.
         """
-        raw = self.generate(knobs)
-        skill = raw.skill_score()                       # (N, K, C, W)
-        overall = raw.overall()                         # (N, C, W)
+        skill, composite, overall = student_scores(self.generate(knobs).scores)
         # Mean targets are the published Tables 5/6 values, which are
         # cohort-mean *composite* scores.
-        skill_mean = raw.composite_score().mean(axis=0)  # (K, C, W)
+        skill_mean = composite.mean(axis=0)             # (K, C, W)
         overall_sd = overall.std(axis=0, ddof=1)        # (C, W)
         k = len(self.skills)
         r = np.empty((k, 2))

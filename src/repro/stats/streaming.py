@@ -77,7 +77,8 @@ class Moments:
             del shape[axis]
             return cls.empty(tuple(shape))
         mean = x.mean(axis=axis)
-        m2 = np.square(x - np.expand_dims(mean, axis)).sum(axis=axis)
+        d = x - np.expand_dims(mean, axis)
+        m2 = np.square(d, out=d).sum(axis=axis)
         return cls(count=int(n), mean=mean, m2=m2)
 
     def push(self, value) -> "Moments":
@@ -171,13 +172,14 @@ class CoMoments:
         mean_y = y.mean(axis=axis)
         dx = x - np.expand_dims(mean_x, axis)
         dy = y - np.expand_dims(mean_y, axis)
+        cxy = (dx * dy).sum(axis=axis)
         return cls(
             count=int(n),
             mean_x=mean_x,
             mean_y=mean_y,
-            m2x=np.square(dx).sum(axis=axis),
-            m2y=np.square(dy).sum(axis=axis),
-            cxy=(dx * dy).sum(axis=axis),
+            m2x=np.square(dx, out=dx).sum(axis=axis),
+            m2y=np.square(dy, out=dy).sum(axis=axis),
+            cxy=cxy,
         )
 
     def push(self, x_value, y_value) -> "CoMoments":

@@ -12,10 +12,16 @@ The load-bearing facts pinned here:
   stream, so any shard is regenerable from ``(seed, index)`` alone.
 - **Order independence** — worker count, executor mode, and completion
   order cannot change a bit of the merged statistics.
+- **Fused reduction** — the one-item-sum-pass ``SurveyStats.from_scores``
+  and the in-place ``shard_stats`` give the same statistics, bit for
+  bit, as the 14-pass reduction of the int64 score tensor they
+  replaced (a frozen copy lives below, plus golden digests).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -39,7 +45,7 @@ from repro.megacohort.shards import (
     shard_scores,
     shard_stats,
 )
-from repro.stats.streaming import merge_indexed
+from repro.stats.streaming import CoMoments, Moments, merge_indexed
 
 SEED = 2018
 
@@ -114,6 +120,92 @@ def test_streamed_analysis_matches_in_memory_to_ulp_precision():
                         reference.ttest_growth.p_value, rel_tol=1e-12)
     assert math.isclose(streamed.analysis.cohens_d_emphasis.d,
                         reference.cohens_d_emphasis.d, rel_tol=1e-12)
+
+
+# ------------------------------------------------------ fused reduction
+
+def _bits(stats: SurveyStats) -> str:
+    """Exact serialisation: float reprs round-trip and keep the sign of 0."""
+    return json.dumps(stats.as_dict(), sort_keys=True)
+
+
+def _two_pass(x: np.ndarray) -> Moments:
+    mean = x.mean(axis=0)
+    return Moments(count=x.shape[0], mean=mean,
+                   m2=np.square(x - mean[None]).sum(axis=0))
+
+
+def _two_pass_pair(x: np.ndarray, y: np.ndarray) -> CoMoments:
+    mean_x, mean_y = x.mean(axis=0), y.mean(axis=0)
+    dx, dy = x - mean_x[None], y - mean_y[None]
+    return CoMoments(count=x.shape[0], mean_x=mean_x, mean_y=mean_y,
+                     m2x=np.square(dx).sum(axis=0),
+                     m2y=np.square(dy).sum(axis=0),
+                     cxy=(dx * dy).sum(axis=0))
+
+
+def _from_scores_14_pass(skills, scores: np.ndarray) -> SurveyStats:
+    """Frozen copy of the reduction the fused one replaced: one NumPy
+    pass per derived quantity over the full item tensor."""
+    overall = scores.mean(axis=(1, 4))
+    diff = overall[:, :, 0] - overall[:, :, 1]
+    definition = scores[..., 0]
+    components = scores[..., 1:].mean(axis=-1)
+    composite = (definition + components) / 2.0
+    skill = scores.mean(axis=-1)
+    return SurveyStats(
+        skills=tuple(skills),
+        items_per_skill=scores.shape[-1],
+        overall=_two_pass(overall),
+        diff=_two_pass(diff),
+        composite=_two_pass(composite),
+        skill_pair=_two_pass_pair(skill[:, :, 0, :], skill[:, :, 1, :]),
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 2, 124, 16383, 16384])
+@pytest.mark.parametrize("items", [2, 3, 5])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_fused_from_scores_is_bitwise_the_14_pass_reduction(rows, items, dtype):
+    skills = tuple(f"s{k}" for k in range(7))
+    rng = np.random.default_rng([rows, items])
+    scores = rng.integers(1, 6, size=(rows, 7, 2, 2, items)).astype(dtype)
+    fused = SurveyStats.from_scores(skills, scores)
+    assert _bits(fused) == _bits(_from_scores_14_pass(skills, scores))
+
+
+@pytest.mark.parametrize("index", [0, 1, 5, 61])
+def test_shard_stats_is_bitwise_from_scores_of_shard_scores(index):
+    targets, model, calibration = _calibration(SEED)
+    spec = ShardSpec(index=index, rows=3000 if index else DEFAULT_SHARD_ROWS)
+    args = (calibration.knobs, len(targets.skills), model.items_per_skill, SEED)
+    fused = shard_stats(spec, calibration.knobs, targets.skills,
+                        model.items_per_skill, SEED)
+    unfused = SurveyStats.from_scores(targets.skills, shard_scores(spec, *args))
+    assert _bits(fused) == _bits(unfused)
+    frozen = _from_scores_14_pass(targets.skills, shard_scores(spec, *args))
+    assert _bits(fused) == _bits(frozen)
+
+
+#: sha256 of ``run_streamed(n=50_000, seed=s).stats.as_dict()`` as JSON
+#: (sorted keys), recorded with the 14-pass reduction.
+GOLDEN_50K = {
+    2018: "8dd6d0524d80addf5e05cad57fc0e0f75cbc59fd7990065f9df77e181b09ea22",
+    7: "0042146f176249aada69eaa6ddc4e91ee0cab30ffab9a707fe18dc60789938a7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_50K))
+def test_streamed_stats_match_the_golden_digest(seed):
+    stats = run_streamed(n=50_000, seed=seed).stats
+    digest = hashlib.sha256(_bits(stats).encode()).hexdigest()
+    assert digest == GOLDEN_50K[seed]
+
+
+def test_from_scores_rejects_a_single_item_per_skill():
+    scores = np.full((4, 7, 2, 2, 1), 3, dtype=np.int64)
+    with pytest.raises(ValueError, match="at least 2 items"):
+        SurveyStats.from_scores(tuple(f"s{k}" for k in range(7)), scores)
 
 
 # ----------------------------------------------------- order independence

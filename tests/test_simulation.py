@@ -96,6 +96,12 @@ class TestModel:
         with pytest.raises(ValueError):
             ResponseModel(ELEMENT_NAMES, n_students=1)
 
+    def test_rejects_a_single_item_per_skill(self):
+        # The composite needs a definition item plus >= 1 component;
+        # one item used to give silent NaN composites.
+        with pytest.raises(ValueError, match="at least 2 items"):
+            ResponseModel(ELEMENT_NAMES, n_students=30, items_per_skill=1)
+
 
 def _targets_n(n):
     """Paper targets with a different cohort size (for small fast models)."""
