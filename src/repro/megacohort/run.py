@@ -31,6 +31,7 @@ from repro.megacohort.aggregate import SurveyStats, analyze
 from repro.megacohort.shards import plan_shards, shard_stats_task
 from repro.sched.core import Call
 from repro.sched.executor import WorkStealingExecutor
+from repro.simulation.calibration import CalibrationResult
 from repro.stats.streaming import merge_indexed
 
 __all__ = [
@@ -86,6 +87,7 @@ class MegacohortResult:
     mode: str
     workers: int
     seed: int
+    calibration: CalibrationResult   # the knobs every shard was drawn with
     stats: SurveyStats
     analysis: Any                    # StudyAnalysis
     sched_stats: Mapping[str, Any]
@@ -172,6 +174,7 @@ def run_streamed(
         mode=executor_mode,
         workers=n_workers,
         seed=seed,
+        calibration=calibration,
         stats=merged,
         analysis=analyze(merged),
         sched_stats=sched_stats,

@@ -48,6 +48,8 @@ __all__ = [
     "scores_from_blocks",
     "item_scores",
     "student_scores",
+    "pearson_r",
+    "STATISTICS",
 ]
 
 CATEGORIES: tuple[str, str] = ("class_emphasis", "personal_growth")
@@ -64,6 +66,9 @@ LATENT_SCALE = 0.38
 #: SD of the per-item read noise around the trait (small, for the same
 #: attenuation reason; rounding to the Likert grid adds ~1/12 on its own).
 ITEM_NOISE = 0.22
+
+#: The statistics :meth:`ResponseModel.observed` can compute.
+STATISTICS: tuple[str, str, str] = ("skill_mean", "overall_sd", "pearson_r")
 
 
 @dataclass(frozen=True)
@@ -190,6 +195,29 @@ def student_scores(
     composite /= 2.0
     overall = np.einsum("nkcw->ncw", sums) / (sums.shape[1] * items)
     return skill, composite, overall
+
+
+def pearson_r(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson r of each paired row of ``x`` and ``y`` (..., N), batched.
+
+    Equal bit for bit to ``np.corrcoef(x[i], y[i])[0, 1]`` per cell,
+    because it repeats that function's operation order: means as
+    ``add.reduce / n``, centring in place, ``X @ X.T``, ``*= 1 / (n - 1)``,
+    the square root of the diagonal, two divides, then ``clip(-1, 1)``.
+    A constant row gives NaN, as ``np.corrcoef`` does.
+    """
+    n = x.shape[-1]
+    # C order matters: the mean must reduce along contiguous rows.
+    pairs = np.empty(x.shape[:-1] + (2, n))
+    pairs[..., 0, :] = x
+    pairs[..., 1, :] = y
+    pairs -= (np.add.reduce(pairs, axis=-1) / n)[..., None]
+    cov = np.matmul(pairs, pairs.swapaxes(-1, -2))      # (..., 2, 2)
+    cov *= np.true_divide(1, n - 1)
+    sd = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    r = cov[..., 0, 1] / sd[..., 0]
+    r /= sd[..., 1]
+    return np.clip(r, -1, 1, out=r)
 
 
 def draw_response_blocks(
@@ -341,23 +369,34 @@ class ResponseModel:
 
     # --- observed statistics used by calibration -------------------------
 
-    def observed(self, knobs: ModelKnobs) -> dict[str, np.ndarray]:
+    def observed(
+        self, knobs: ModelKnobs, *, stats: Sequence[str] = STATISTICS
+    ) -> dict[str, np.ndarray]:
         """Observed statistics for the current knobs.
 
-        Returns ``skill_mean`` (K, C, W), ``overall_sd`` (C, W) and
-        ``pearson_r`` (K, W) computed from a fresh generation with the
-        fixed underlying draws.
+        Returns the requested ``stats`` — any of ``skill_mean`` (K, C, W),
+        ``overall_sd`` (C, W) and ``pearson_r`` (K, W), all three by
+        default — computed from a fresh generation with the fixed
+        underlying draws.  Each statistic is the same bit for bit
+        whichever others are requested with it.
         """
-        skill, composite, overall = student_scores(self.generate(knobs).scores)
-        # Mean targets are the published Tables 5/6 values, which are
-        # cohort-mean *composite* scores.
-        skill_mean = composite.mean(axis=0)             # (K, C, W)
-        overall_sd = overall.std(axis=0, ddof=1)        # (C, W)
-        k = len(self.skills)
-        r = np.empty((k, 2))
-        for ki in range(k):
-            for wi in range(2):
-                e = skill[:, ki, 0, wi]
-                g = skill[:, ki, 1, wi]
-                r[ki, wi] = np.corrcoef(e, g)[0, 1]
-        return {"skill_mean": skill_mean, "overall_sd": overall_sd, "pearson_r": r}
+        unknown = set(stats) - set(STATISTICS)
+        if unknown:
+            raise ValueError(f"unknown statistics {sorted(unknown)}; "
+                             f"choose from {STATISTICS}")
+        # A fresh copy per call: calibration may run on several threads.
+        scores = item_scores(knobs, self._p_raw, self._q_raw, self._e.copy(),
+                             self.latent_scale, self.item_noise)
+        skill, composite, overall = student_scores(scores)
+        out: dict[str, np.ndarray] = {}
+        if "skill_mean" in stats:
+            # Mean targets are the published Tables 5/6 values, which are
+            # cohort-mean *composite* scores.
+            out["skill_mean"] = composite.mean(axis=0)           # (K, C, W)
+        if "overall_sd" in stats:
+            out["overall_sd"] = overall.std(axis=0, ddof=1)      # (C, W)
+        if "pearson_r" in stats:
+            emphasis = np.moveaxis(skill[:, :, 0], 0, -1)        # (K, W, N)
+            growth = np.moveaxis(skill[:, :, 1], 0, -1)
+            out["pearson_r"] = pearson_r(emphasis, growth)       # (K, W)
+        return out

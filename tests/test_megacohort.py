@@ -338,6 +338,25 @@ def test_cli_streams_a_small_cohort():
     assert "t_emphasis=" in proc.stdout
 
 
+def test_result_carries_the_calibration_its_shards_used():
+    result = run_streamed(n=300, shards=2, seed=2018)
+    assert result.calibration is _calibration(2018)[2]
+    assert result.calibration.converged
+
+
+def test_cli_reports_calibration_and_warns_when_it_did_not_converge():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "megacohort",
+         "--n", "300", "--shards", "2", "--seed", "3", "--tables"],
+        capture_output=True, text=True, timeout=300, env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = proc.stdout.split("\n\n", 1)[0]
+    assert "calibration NOT converged in 60 rounds" in summary
+    assert "rows/s" in summary
+    assert "warning: seed 3: calibration NOT converged" in proc.stderr
+
+
 def test_cli_rejects_bad_arguments():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "megacohort", "--n", "0"],
