@@ -7,10 +7,8 @@ kernel (one padded DP amortizes the per-call setup), and chunked
 scheduler dispatch beats one-task-per-ligand (the per-task bookkeeping
 is paid once per chunk).
 
-Run as a script (``python benchmarks/bench_kernels.py``) it delegates to
-:func:`repro.kernels.bench.run_kernels_bench` — the same measurement
-behind ``python -m repro bench kernels`` — and writes the
-``BENCH_kernels.json`` trajectory point.
+The ``BENCH_kernels.json`` point comes from ``python -m repro bench
+kernels``.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from repro import kernels
 from repro.drugdesign.ligands import DEFAULT_PROTEIN, generate_ligands
 from repro.kernels import lcs as lcs_kernels
 from repro.kernels import stencil as stencil_kernels
-from repro.kernels.bench import render_point, run_kernels_bench
 from repro.stats.bootstrap import bootstrap_ci
 
 _LIGANDS = generate_ligands(120, 7, seed=500)
@@ -108,12 +105,3 @@ def test_bootstrap_median_partition_kernel(benchmark):
         oracle.low, oracle.estimate, oracle.high
     )
 
-
-def main(out_path: str = "BENCH_kernels.json", quick: bool = False) -> dict:
-    point = run_kernels_bench(quick=quick, out_path=out_path)
-    print(render_point(point))
-    return point
-
-
-if __name__ == "__main__":
-    main()

@@ -7,8 +7,8 @@ Three questions, one point (``BENCH_megacohort.json``):
   anchor; gates ``ok`` unconditionally.)
 - **Throughput** — rows/second streaming the full cohort through the
   threaded executor and through the ``mode="mp"`` process pool.  The
-  speedup gate (mp ≥ threaded) applies only on machines with two or
-  more cores, mirroring the ``bench mp`` convention — on one core a
+  speedup gate (mp ≥ threaded) applies only when the process may use
+  two or more cores, mirroring the ``bench mp`` convention — on one core a
   process pool is pickle transport with nothing to buy it back.
 - **Memory** — peak RSS (:func:`repro.benchutil.peak_rss_bytes`) against
   the estimated footprint of materialising the full response tensor
@@ -23,16 +23,14 @@ full run streams one million.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from typing import Any
 
-from repro.benchutil import format_bytes, peak_rss_bytes
+from repro.benchutil import Suite, format_bytes, peak_rss_bytes
 from repro.config import resolve_mp_workers
 from repro.megacohort.run import DEFAULT_N, full_tensor_bytes, identity_check, run_streamed
 
-__all__ = ["run_megacohort_bench", "render_point"]
+__all__ = ["SUITE", "render_point"]
 
 #: The streamed peak must stay under this fraction of the full-tensor
 #: estimate for ``ok`` (generous: the real margin at N=1e6 is ~40x).
@@ -47,16 +45,11 @@ def _timed_arm(n: int, shards: int | None, seed: int, mode: str,
     return time.perf_counter() - start, result
 
 
-def run_megacohort_bench(
-    quick: bool = False,
-    out_path: str | None = "BENCH_megacohort.json",
-    seed: int = 2018,
-) -> dict[str, Any]:
-    """Run the mega-cohort benchmark; write and return the point."""
+def _measure(quick: bool, seed: int = 2018) -> dict[str, Any]:
+    """The identity anchor, both executor arms, and the memory bound."""
     n = 50_000 if quick else DEFAULT_N
     shards = 16 if quick else None          # full run: auto (~62 shards)
     workers = resolve_mp_workers()
-    cores = os.cpu_count() or 1
 
     identity, identity_detail = identity_check(seed)
 
@@ -76,13 +69,10 @@ def run_megacohort_bench(
         else True
     )
 
-    point: dict[str, Any] = {
-        "bench": "megacohort",
-        "quick": quick,
+    return {
         "n": n,
         "shards": threaded_result.shards,
         "workers": workers,
-        "cores": cores,
         "seed": seed,
         "identity_124": identity,
         "tables_identical_mp": tables_identical,
@@ -96,25 +86,8 @@ def run_megacohort_bench(
         "rss_fraction_of_full_tensor": peak_rss / full_tensor,
         "rss_bounded": rss_bounded,
         "retries": int(threaded_result.sched_stats.get("retries", 0)),
+        "identity_detail": identity_detail,
     }
-    for key, value in list(point.items()):
-        if isinstance(value, float):
-            point[key] = round(value, 6)
-    # Identity and the memory bound always gate; the speedup gate needs
-    # parallel hardware (the bench-mp convention).  ``gate_applied``
-    # records whether the speedup gate actually ran.
-    point["gate_applied"] = cores >= 2
-    faster = bool(not point["gate_applied"]
-                  or point["mp_rows_per_s"] >= point["threaded_rows_per_s"])
-    point["ok"] = bool(identity and tables_identical and rss_bounded
-                       and faster)
-    point["identity_detail"] = identity_detail
-    point["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(point, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return point
 
 
 def render_point(point: dict[str, Any]) -> str:
@@ -136,3 +109,21 @@ def render_point(point: dict[str, Any]) -> str:
         f"bounded={point['rss_bounded']})",
     ]
     return "\n".join(lines)
+
+
+#: Identity and the memory bound gate on any machine; the speedup gate
+#: needs parallel hardware (the ``bench mp`` convention).
+SUITE = Suite(
+    name="megacohort",
+    measure=_measure,
+    gate=lambda p: (p["identity_124"] and p["tables_identical_mp"]
+                    and p["rss_bounded"]),
+    multicore_gate=lambda p: p["mp_rows_per_s"] >= p["threaded_rows_per_s"],
+    render=render_point,
+    headline=(
+        ("n", "rows", "%d"),
+        ("threaded_rows_per_s", "threaded", "%.0f/s"),
+        ("mp_rows_per_s", "mp", "%.0f/s"),
+        ("rss_fraction_of_full_tensor", "rss", "%.3fx"),
+    ),
+)

@@ -21,17 +21,17 @@ ratio and the identity bit are the point.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
 import time
 from typing import Any
 
+from repro.benchutil import Suite
 from repro.pipeline.store import JobStore
 from repro.pipeline.workloads import run_pipeline_workload
 
-__all__ = ["run_pipeline_bench", "render_point"]
+__all__ = ["SUITE", "render_point"]
 
 _LEASE_BATCH = 32
 
@@ -73,22 +73,12 @@ def _bench_lease_complete(store: JobStore) -> dict[str, Any]:
     }
 
 
-def run_pipeline_bench(
-    quick: bool = False,
-    out_path: str | None = "BENCH_pipeline.json",
-    workers: int = 4,
-    seed: int = 7,
-) -> dict[str, Any]:
-    """Run the store + resume benchmark; write and return the point."""
+def _measure(quick: bool, workers: int = 4, seed: int = 7) -> dict[str, Any]:
+    """Store throughput, then the cold and resumed pipeline runs."""
     n_jobs = 200 if quick else 2000
     params = {"ligands": 16 if quick else 48}
     workdir = tempfile.mkdtemp(prefix="repro-pipeline-bench-")
-    point: dict[str, Any] = {
-        "bench": "pipeline",
-        "quick": quick,
-        "workers": workers,
-        "seed": seed,
-    }
+    point: dict[str, Any] = {"workers": workers, "seed": seed}
     try:
         with JobStore(os.path.join(workdir, "throughput.db")) as store:
             enqueue = _bench_enqueue(store, n_jobs)
@@ -122,23 +112,6 @@ def run_pipeline_bench(
         "resumed_stages": resumed.resumed_stages,
         "byte_identical": cold.output == resumed.output,
     })
-    for key, value in list(point.items()):
-        if isinstance(value, float):
-            point[key] = round(value, 6)
-    point["gate_applied"] = True       # durability gates run on any core count
-    point["ok"] = bool(
-        point["enqueue_created"] == point["enqueue_jobs"]
-        and point["drain_jobs"] == point["enqueue_jobs"]
-        and point["store_done"] == point["enqueue_jobs"]
-        and point["byte_identical"]
-        and point["resumed_stages"] == 4
-        and point["resumed_s"] <= point["cold_s"]
-    )
-    point["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(point, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return point
 
 
@@ -165,3 +138,22 @@ def render_point(point: dict[str, Any]) -> str:
         f"byte_identical={point['byte_identical']})"
     )
     return "\n".join(lines)
+
+
+#: Durability gates run on any core count.
+SUITE = Suite(
+    name="pipeline",
+    measure=_measure,
+    gate=lambda p: (p["enqueue_created"] == p["enqueue_jobs"]
+                    and p["drain_jobs"] == p["enqueue_jobs"]
+                    and p["store_done"] == p["enqueue_jobs"]
+                    and p["byte_identical"]
+                    and p["resumed_stages"] == 4
+                    and p["resumed_s"] <= p["cold_s"]),
+    render=render_point,
+    headline=(
+        ("enqueue_jobs_per_s", "enqueue", "%.0f/s"),
+        ("drain_jobs_per_s", "drain", "%.0f/s"),
+        ("resume_speedup", "resume", "%.1fx"),
+    ),
+)

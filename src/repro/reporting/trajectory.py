@@ -4,86 +4,41 @@ Every benchmark suite writes one ``BENCH_<suite>.json`` point at the
 repo root; this module reads whichever of them exist and renders one
 table — suite, when it ran, whether its gate passed, and a curated
 headline metric per suite — so the performance story of the whole repo
-fits on one screen without opening six JSON files.  A point whose
+fits on one screen without opening a JSON file per suite.  A point whose
 perf gate never ran (``gate_applied`` false — e.g. a single-core box
 skips a speedup comparison) renders its status as ``—``, not ``ok``:
 an unearned pass is the one thing a trajectory must never show.
 
-Suites are described declaratively in :data:`SUITES`: the filename and
-the (key, label, format) of the headline metrics to surface.  A missing
-file renders as an ``absent`` row (run ``python -m repro bench
-<suite>`` to produce it); a metric a point predates renders as ``-`` —
-old points stay readable as suites grow new keys.
+The rows come from the one suite table, :data:`repro.benchutil.SUITES`,
+and each suite's declared ``headline`` metrics.  A missing file renders
+as an ``absent`` row (run ``python -m repro bench <suite>`` to produce
+it); a metric a point predates renders as ``-`` — old points stay
+readable as suites grow new keys.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["SUITES", "load_points", "render_trajectory"]
+from repro.benchutil import SUITES, load_suite
 
-
-@dataclass(frozen=True)
-class SuiteSpec:
-    """One suite's file and its headline metrics."""
-
-    name: str
-    filename: str
-    #: (json key, short label, printf-style format for the value)
-    metrics: tuple[tuple[str, str, str], ...]
-
-
-SUITES: tuple[SuiteSpec, ...] = (
-    SuiteSpec("kernels", "BENCH_kernels.json", (
-        ("stencil_speedup", "stencil", "%.1fx"),
-        ("lcs_batched_speedup", "lcs", "%.1fx"),
-        ("bootstrap_speedup", "bootstrap", "%.1fx"),
-        ("dispatch_speedup", "dispatch", "%.1fx"),
-    )),
-    SuiteSpec("mp", "BENCH_mp.json", (
-        ("stencil_speedup", "stencil", "%.2fx"),
-        ("lcs_speedup", "lcs", "%.2fx"),
-        ("cores", "cores", "%d"),
-    )),
-    SuiteSpec("spec", "BENCH_spec.json", (
-        ("base_p99_s", "p99-plain", "%.3fs"),
-        ("spec_p99_s", "p99-spec", "%.3fs"),
-        ("backups_won", "won", "%d"),
-    )),
-    SuiteSpec("pipeline", "BENCH_pipeline.json", (
-        ("enqueue_jobs_per_s", "enqueue", "%.0f/s"),
-        ("drain_jobs_per_s", "drain", "%.0f/s"),
-        ("resume_speedup", "resume", "%.1fx"),
-    )),
-    SuiteSpec("serve", "BENCH_serve.json", (
-        ("cold_jobs_per_s", "cold", "%.0f/s"),
-        ("warm_jobs_per_s", "warm", "%.0f/s"),
-        ("warm_hit_rate", "hit", "%.2f"),
-    )),
-    SuiteSpec("megacohort", "BENCH_megacohort.json", (
-        ("n", "rows", "%d"),
-        ("threaded_rows_per_s", "threaded", "%.0f/s"),
-        ("mp_rows_per_s", "mp", "%.0f/s"),
-        ("rss_fraction_of_full_tensor", "rss", "%.3fx"),
-    )),
-)
+__all__ = ["load_points", "render_trajectory"]
 
 
 def load_points(root: str = ".") -> dict[str, dict[str, Any] | None]:
     """Read every suite's point; ``None`` marks an absent or unreadable
     file (never raises — the trajectory degrades, it does not fail)."""
     points: dict[str, dict[str, Any] | None] = {}
-    for suite in SUITES:
-        path = os.path.join(root, suite.filename)
+    for name in SUITES:
+        path = os.path.join(root, f"BENCH_{name}.json")
         try:
             with open(path, encoding="utf-8") as handle:
                 loaded = json.load(handle)
-            points[suite.name] = loaded if isinstance(loaded, dict) else None
+            points[name] = loaded if isinstance(loaded, dict) else None
         except (OSError, ValueError):
-            points[suite.name] = None
+            points[name] = None
     return points
 
 
@@ -101,11 +56,10 @@ def render_trajectory(root: str = ".") -> str:
     """The one-screen table over every ``BENCH_*.json`` that exists."""
     points = load_points(root)
     rows: list[tuple[str, str, str, str]] = []
-    for suite in SUITES:
-        point = points[suite.name]
+    for name, point in points.items():
         if point is None:
-            rows.append((suite.name, "-", "absent",
-                         f"run `python -m repro bench {suite.name}`"))
+            rows.append((name, "-", "absent",
+                         f"run `python -m repro bench {name}`"))
             continue
         ok = point.get("ok")
         if ok is None:
@@ -122,14 +76,14 @@ def render_trajectory(root: str = ".") -> str:
         when = str(point.get("timestamp", "-"))
         headline = "  ".join(
             f"{label}={_metric_cell(point, key, fmt)}"
-            for key, label, fmt in suite.metrics
+            for key, label, fmt in load_suite(name).headline
         )
-        rows.append((suite.name, when, status, headline))
+        rows.append((name, when, status, headline))
 
     name_w = max(len(r[0]) for r in rows)
     when_w = max(len(r[1]) for r in rows)
     stat_w = max(len(r[2]) for r in rows)
-    present = sum(1 for s in SUITES if points[s.name] is not None)
+    present = sum(1 for point in points.values() if point is not None)
     lines = [
         f"bench trajectory: {present}/{len(SUITES)} suites have points",
         "-" * 72,

@@ -35,19 +35,17 @@ full stall; the committed ``BENCH_spec.json`` uses the real clock.
 
 from __future__ import annotations
 
-import json
-import math
 import random
 import threading
-import time
 from typing import Any
 
+from repro.benchutil import Suite, percentile, stepping_logs_identical
 from repro.faults.clock import SYSTEM_CLOCK
 from repro.sched.core import Call
 from repro.sched.executor import WorkStealingExecutor
 from repro.sched.spec import SpecPolicy, is_backup, obsolete_event
 
-__all__ = ["render_point", "run_spec_bench", "stall_plan"]
+__all__ = ["SUITE", "render_point", "stall_plan"]
 
 #: Executor width for both arms (threads; stalls release the GIL).
 _WORKERS = 4
@@ -81,13 +79,6 @@ def _spec_task(index: int, stall_s: float, clock: Any) -> tuple[int, float]:
         kill = obsolete_event() or threading.Event()
         clock.wait(kill, stall_s)
     return _task_value(index), clock.monotonic()
-
-
-def _percentile(latencies: list[float], q: float) -> float:
-    """The ``q``-quantile by rank (nearest-rank, ``q`` in [0, 1])."""
-    ordered = sorted(latencies)
-    rank = max(0, math.ceil(q * len(ordered)) - 1)
-    return ordered[rank]
 
 
 def _run_arm(
@@ -131,25 +122,8 @@ def _run_arm(
     }
 
 
-def _stepping_logs_identical(workers: int, seed: int) -> bool:
-    """Drug-design stepping report, plain vs speculative, byte for byte."""
-    from repro.sched.workloads import run_sched_workload
-
-    renders = [
-        run_sched_workload("drugdesign", workers=workers, seed=seed,
-                           speculate=speculate).render()
-        for speculate in (False, True)
-    ]
-    return renders[0] == renders[1]
-
-
-def run_spec_bench(
-    quick: bool = False,
-    out_path: str | None = "BENCH_spec.json",
-    clock: Any = None,
-    seed: int = 7,
-) -> dict[str, Any]:
-    """Run the speculation benchmark; write and return the point.
+def _measure(quick: bool, clock: Any = None, seed: int = 7) -> dict[str, Any]:
+    """Both arms over one stall plan.
 
     ``quick`` shrinks the batch and the stall for the CI smoke step.
     ``clock`` (tests) swaps in a scaled clock so the stall is nominal
@@ -167,8 +141,6 @@ def run_spec_bench(
         for label, speculate in (("base", False), ("spec", True))
     }
     point: dict[str, Any] = {
-        "bench": "spec",
-        "quick": quick,
         "workers": _WORKERS,
         "seed": seed,
         "n_tasks": n_tasks,
@@ -177,37 +149,16 @@ def run_spec_bench(
     }
     for label, arm in arms.items():
         point[f"{label}_wall_s"] = arm["wall_s"]
-        point[f"{label}_p50_s"] = _percentile(arm["latencies"], 0.50)
-        point[f"{label}_p99_s"] = _percentile(arm["latencies"], 0.99)
+        point[f"{label}_p50_s"] = percentile(arm["latencies"], 0.50)
+        point[f"{label}_p99_s"] = percentile(arm["latencies"], 0.99)
     point["backups_launched"] = arms["spec"]["backups_launched"]
     point["backups_won"] = arms["spec"]["backups_won"]
     point["backup_time_saved_s"] = arms["spec"]["backup_time_saved_s"]
     point["base_backups_launched"] = arms["base"]["backups_launched"]
     point["results_identical"] = arms["base"]["values"] == arms["spec"]["values"]
-    point["stepping_log_identical"] = _stepping_logs_identical(
-        workers=4, seed=seed
+    point["stepping_log_identical"] = stepping_logs_identical(
+        workers=4, seed=seed, speculate=(False, True)
     )
-    for key, value in list(point.items()):
-        if isinstance(value, float):
-            point[key] = round(value, 6)
-    tail_cut = bool(
-        point["spec_p99_s"] < point["base_p99_s"]
-        and point["backups_launched"] >= 1
-        and point["backups_won"] >= 1
-        and point["base_backups_launched"] == 0
-    )
-    identical = bool(
-        point["results_identical"] and point["stepping_log_identical"]
-    )
-    # A wait-driven stall needs no parallel hardware: the gate always
-    # applies, on any core count.
-    point["gate_applied"] = True
-    point["ok"] = identical and tail_cut
-    point["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(point, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return point
 
 
@@ -230,3 +181,27 @@ def render_point(point: dict[str, Any]) -> str:
             f"wall {point[f'{label}_wall_s'] * 1e3:9.2f} ms"
         )
     return "\n".join(lines)
+
+
+def _gate(point: dict[str, Any]) -> bool:
+    """Identical results, and backups cut the tail."""
+    return (point["results_identical"] and point["stepping_log_identical"]
+            and point["spec_p99_s"] < point["base_p99_s"]
+            and point["backups_launched"] >= 1
+            and point["backups_won"] >= 1
+            and point["base_backups_launched"] == 0)
+
+
+#: A wait-driven stall needs no parallel hardware: the gate always
+#: applies, on any core count.
+SUITE = Suite(
+    name="spec",
+    measure=_measure,
+    gate=_gate,
+    render=render_point,
+    headline=(
+        ("base_p99_s", "p99-plain", "%.3fs"),
+        ("spec_p99_s", "p99-spec", "%.3fs"),
+        ("backups_won", "won", "%d"),
+    ),
+)

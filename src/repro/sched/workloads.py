@@ -24,8 +24,11 @@ from repro.sched.executor import WorkStealingExecutor
 
 __all__ = ["SchedReport", "run_sched_workload", "sched_workload_names"]
 
-# A small fixed corpus for the MapReduce word count (same flavour as the
-# chaos corpus: enough repeated words for a non-trivial reduce phase).
+# A small fixed corpus for the MapReduce word count: enough repeated
+# words for a non-trivial reduce phase.  It deliberately differs from
+# the trace/chaos corpus in repro.telemetry.workloads: swapping it would
+# change the ``repro sched mapreduce`` output, its result-cache keys and
+# the stdout that CI diffs across PYTHONHASHSEED values.
 _DOCUMENTS = [
     "the fox and the hound raced through the autumn woods",
     "parallel programs share work and the work shares state",

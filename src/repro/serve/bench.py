@@ -30,10 +30,11 @@ import threading
 import time
 from typing import Any
 
+from repro.benchutil import Suite, percentile
 from repro.serve.http import BackgroundServer
 from repro.serve.service import JobService
 
-__all__ = ["run_serve_bench", "render_point"]
+__all__ = ["SUITE", "render_point"]
 
 #: Concurrent client threads (the acceptance floor is 16).
 N_CLIENTS = 16
@@ -79,13 +80,6 @@ def _run_one(port: int, spec: dict) -> tuple[float, bool, str]:
     return time.perf_counter() - started, cached, state
 
 
-def _percentile(sorted_s: list[float], q: float) -> float:
-    if not sorted_s:
-        return 0.0
-    index = min(len(sorted_s) - 1, round(q * (len(sorted_s) - 1)))
-    return sorted_s[int(index)]
-
-
 def _phase(
     port: int, clients: int, jobs_per_client: int, spec_for: Any
 ) -> dict[str, Any]:
@@ -115,7 +109,7 @@ def _phase(
         thread.join()
     wall_s = time.perf_counter() - wall_start
 
-    flat = sorted(lat for per in latencies for lat in per)
+    flat = [lat for per in latencies for lat in per]
     all_states = [state for per in states for state in per]
     total = len(flat)
     return {
@@ -124,18 +118,14 @@ def _phase(
         "cached": sum(cached_flags),
         "wall_s": wall_s,
         "jobs_per_s": total / wall_s if wall_s > 0 else 0.0,
-        "p50_ms": _percentile(flat, 0.50) * 1e3,
-        "p99_ms": _percentile(flat, 0.99) * 1e3,
+        "p50_ms": percentile(flat, 0.50) * 1e3,
+        "p99_ms": percentile(flat, 0.99) * 1e3,
     }
 
 
-def run_serve_bench(
-    quick: bool = False,
-    out_path: str | None = "BENCH_serve.json",
-    clients: int = N_CLIENTS,
-    workers: int = 4,
-) -> dict[str, Any]:
-    """Run the cold/warm load benchmark; write and return the point.
+def _measure(quick: bool, clients: int = N_CLIENTS,
+             workers: int = 4) -> dict[str, Any]:
+    """The cold phase, then the warm phase, against one live server.
 
     ``quick`` shrinks jobs-per-client for the CI smoke step but keeps
     the full client count — concurrency is the thing being tested.
@@ -143,8 +133,6 @@ def run_serve_bench(
     jobs_per_client = 2 if quick else 6
     service = JobService(workers=workers, backlog=max(256, clients * 8))
     point: dict[str, Any] = {
-        "bench": "serve",
-        "quick": quick,
         "clients": clients,
         "workers": workers,
         "jobs_per_client": jobs_per_client,
@@ -174,25 +162,6 @@ def run_serve_bench(
     point["metrics_jobs_submitted"] = metrics.get("serve.jobs.submitted", 0)
     point["metrics_jobs_cached"] = metrics.get("serve.jobs.cached", 0)
     point["metrics_jobs_completed"] = metrics.get("serve.jobs.completed", 0)
-    for key, value in list(point.items()):
-        if isinstance(value, float):
-            point[key] = round(value, 6)
-    # The warm phase races its first requests against each other: the
-    # cache fills on the first completion, so up to one miss per seed
-    # collision window is expected — gate at "almost all hits".
-    point["gate_applied"] = True       # throughput gate runs on any core count
-    point["ok"] = bool(
-        point["cold_done"] == point["cold_jobs"]
-        and point["warm_done"] == point["warm_jobs"]
-        and point["warm_hit_rate"] >= 0.75
-        and point["metrics_jobs_cached"] >= point["warm_cached"]
-        and point["warm_p50_ms"] <= point["cold_p50_ms"]
-    )
-    point["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(point, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return point
 
 
@@ -216,3 +185,24 @@ def render_point(point: dict[str, Any]) -> str:
         f"{point['metrics_jobs_submitted']} submitted)"
     )
     return "\n".join(lines)
+
+
+#: The warm phase races its first requests against each other: the
+#: cache fills on the first completion, so up to one miss per seed
+#: collision window is expected — gate at "almost all hits".  The
+#: throughput gate runs on any core count.
+SUITE = Suite(
+    name="serve",
+    measure=_measure,
+    gate=lambda p: (p["cold_done"] == p["cold_jobs"]
+                    and p["warm_done"] == p["warm_jobs"]
+                    and p["warm_hit_rate"] >= 0.75
+                    and p["metrics_jobs_cached"] >= p["warm_cached"]
+                    and p["warm_p50_ms"] <= p["cold_p50_ms"]),
+    render=render_point,
+    headline=(
+        ("cold_jobs_per_s", "cold", "%.0f/s"),
+        ("warm_jobs_per_s", "warm", "%.0f/s"),
+        ("warm_hit_rate", "hit", "%.2f"),
+    ),
+)

@@ -22,7 +22,8 @@ from repro import workloads as registry
 
 __all__ = ["workload_names", "run_workload"]
 
-#: Small deterministic corpus for the MapReduce workloads.
+#: Small deterministic corpus for the MapReduce workloads (the trace
+#: and chaos ``mapreduce`` runners both read it).
 _DOCUMENTS: tuple[tuple[int, str], ...] = (
     (0, "the fork joins the team and the team joins the fork"),
     (1, "a barrier waits for every thread every time"),

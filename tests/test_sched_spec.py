@@ -262,11 +262,12 @@ def test_trajectory_renders_skipped_gate_as_dash(tmp_path):
 
 
 def test_spec_bench_quick_passes_its_gate(tmp_path):
-    from repro.sched.specbench import run_spec_bench
+    from repro.benchutil import run
+    from repro.sched.specbench import SUITE
 
     out = tmp_path / "BENCH_spec.json"
-    point = run_spec_bench(quick=True, out_path=str(out),
-                           clock=ScaledClock(_SCALE))
+    point = run(SUITE, quick=True, out_path=str(out),
+                clock=ScaledClock(_SCALE))
     assert point["ok"] is True
     assert point["gate_applied"] is True
     assert point["results_identical"] is True
